@@ -13,7 +13,7 @@
 pub mod barrierless;
 pub mod original;
 
-use mr_core::{Application, ChainableApplication, Emit, Partitioner};
+use mr_core::{Application, ChainableApplication, Emit, IdentityWriter, Partitioner};
 
 /// TeraSort-style total-order sort of `u64` keys.
 #[derive(Debug, Clone, Default)]
@@ -45,6 +45,14 @@ impl Partitioner<u64> for RangePartitioner {
         debug_assert_eq!(self.bounds.len() + 1, partitions);
         let _ = partitions;
         self.bounds.partition_point(|b| key >= b)
+    }
+
+    fn cache_identity(&self, w: &mut dyn IdentityWriter) -> bool {
+        w.write_u64(self.bounds.len() as u64);
+        for &b in &self.bounds {
+            w.write_u64(b);
+        }
+        true
     }
 }
 

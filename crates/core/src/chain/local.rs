@@ -35,9 +35,9 @@ use crate::config::{ChainSpec, HandoffMode};
 use crate::counters::{names, Counters};
 use crate::error::{MrError, MrResult};
 use crate::local::cache::SharedCache;
-use crate::local::pool::{Ctx, Pool, PoolSender, TrySend};
+use crate::local::pool::{Ctx, Pool, PoolReceiver, PoolSender, TrySend};
 use crate::local::{
-    build_stage, collect_stage, LocalRunner, ReduceSink, SinkedRun, StageInput, StageState,
+    build_stage, collect_stage, InputSplit, LocalRunner, ReduceSink, StageInput, StageState,
     BATCH_CHANNEL_DEPTH,
 };
 use crate::output::JobOutput;
@@ -112,30 +112,6 @@ impl<'a, B, UK, UV> HandoffSink<'a, B, UK, UV>
 where
     B: ChainableApplication<UK, UV>,
 {
-    fn new(
-        downstream: &'a B,
-        tx: PoolSender<Handoff<B>>,
-        batch_bytes: usize,
-        stats: &'a Mutex<HandoffStats>,
-        started: Instant,
-    ) -> Self {
-        HandoffSink {
-            downstream,
-            tx: Some(tx),
-            pending: VecDeque::new(),
-            buf: Vec::new(),
-            buf_bytes: 0,
-            batch_bytes,
-            emitted: 0,
-            batches: 0,
-            bytes: 0,
-            started,
-            first_secs: None,
-            stats,
-            _upstream: std::marker::PhantomData,
-        }
-    }
-
     /// Cuts the current buffer into a staged batch and tries an
     /// opportunistic non-blocking send; a full channel queues the batch
     /// for [`pump_pending`]. A disconnected channel means the downstream
@@ -243,46 +219,31 @@ where
     }
 }
 
-/// Builds one stage's [`StageStats`] from its finished run's parts —
-/// the legacy direct path, used when tracing is off.
-fn stage_stats(
-    mut counters: Counters,
-    reports: Vec<crate::engine::DriverReport>,
-    handoff: Option<&HandoffStats>,
-    finished_secs: f64,
-) -> StageStats {
-    if let Some(stats) = handoff {
-        stats.charge(&mut counters);
-    }
-    StageStats {
-        counters,
-        reports,
-        handoff_records: handoff.map_or(0, |s| s.records),
-        handoff_batches: handoff.map_or(0, |s| s.batches),
-        handoff_bytes: handoff.map_or(0, |s| s.bytes),
-        first_handoff_secs: handoff.and_then(|s| s.first_secs),
-        finished_secs,
-    }
-}
-
 /// Everything one finished stage contributes to the chain result.
 struct StageParts {
+    /// The run's direct counter totals (they stand in for the log when
+    /// tracing is off).
     counters: Counters,
     reports: Vec<crate::engine::DriverReport>,
-    /// The boundary this stage fed (`None` exactly where the legacy path
-    /// passed no handoff — derived and direct stats must match).
+    /// The boundary this stage fed; `None` for the final stage.
     handoff: Option<HandoffStats>,
     finished_secs: f64,
     /// The stage run's own log, still scoped to job 0.
     trace: TraceLog,
 }
 
-/// Tears a handoff-sinked run into the parts a [`StageParts`] needs,
-/// dropping the sinks (and with them their borrows of the shared stats).
-fn into_stage_parts<X: Application, S>(
-    run: SinkedRun<X, S>,
-) -> (Counters, Vec<crate::engine::DriverReport>, TraceLog, f64) {
-    (run.counters, run.reports, run.trace, run.finished_secs)
+/// Appends `counters` to the chain log as stage `job`'s counter totals
+/// (zeros included: the derived view must keep every touched key).
+fn push_counters(log: &mut TraceLog, job: u32, counters: &Counters) {
+    for (name, value) in counters.iter() {
+        log.push(
+            Scope::job(job),
+            TraceEvent::Counter {
+                label: name.to_string().into(),
+                delta: value,
+            },
+        );
+    }
 }
 
 /// Appends stage `job`'s chain-boundary events to the chain log: the
@@ -294,15 +255,7 @@ fn push_stage_marks(log: &mut TraceLog, job: u32, handoff: Option<&HandoffStats>
     if let Some(h) = handoff {
         let mut charged = Counters::new();
         h.charge(&mut charged);
-        for (name, value) in charged.iter() {
-            log.push(
-                scope,
-                TraceEvent::Counter {
-                    label: name.to_string().into(),
-                    delta: value,
-                },
-            );
-        }
+        push_counters(log, job, &charged);
         if let Some(at) = h.first_secs {
             log.push(
                 scope,
@@ -330,76 +283,215 @@ fn chain_tracing(spec: &ChainSpec) -> bool {
     spec.stages.iter().all(|c| c.trace.is_enabled())
 }
 
-/// Assembles the chain result from the finished stages. With tracing on,
-/// the per-stage logs are merged into one chain log (stage `j`'s events
-/// re-scoped to job `j`, boundary marks appended) and every
-/// [`StageStats`] is *derived back out of that log*; with tracing off,
-/// the legacy direct path builds the same values from the parts.
+/// Assembles the chain result from the finished stages: the stage logs
+/// merge into one chain log (stage `j`'s events re-scoped to job `j`,
+/// boundary marks appended) and every [`StageStats`] is *derived back
+/// out of that log*. With tracing off a stage has no log, so its direct
+/// counter totals stand in for one, and the chain log is dropped once
+/// the stats are derived.
 fn assemble_chain<B: Application>(
     trace_on: bool,
     parts: Vec<StageParts>,
     mut output: JobOutput<B>,
 ) -> ChainOutput<B> {
     let mut trace = TraceLog::new();
-    let mut stages = Vec::with_capacity(parts.len());
-    if trace_on {
-        let mut reports_per_stage = Vec::with_capacity(parts.len());
-        for (j, p) in parts.into_iter().enumerate() {
-            let job = j as u32;
+    let mut reports = Vec::with_capacity(parts.len());
+    for (j, p) in parts.into_iter().enumerate() {
+        let job = j as u32;
+        if trace_on {
             for mut e in p.trace.entries {
                 e.scope.job = job;
                 trace.push(e.scope, e.event);
             }
-            push_stage_marks(&mut trace, job, p.handoff.as_ref(), p.finished_secs);
-            reports_per_stage.push(p.reports);
+        } else {
+            push_counters(&mut trace, job, &p.counters);
         }
-        for (j, reports) in reports_per_stage.into_iter().enumerate() {
-            stages.push(StageStats::from_log(&trace, j as u32, reports));
-        }
-    } else {
-        for p in parts {
-            stages.push(stage_stats(
-                p.counters,
-                p.reports,
-                p.handoff.as_ref(),
-                p.finished_secs,
-            ));
-        }
+        push_stage_marks(&mut trace, job, p.handoff.as_ref(), p.finished_secs);
+        reports.push(p.reports);
     }
+    let stages = reports
+        .into_iter()
+        .enumerate()
+        .map(|(j, reports)| StageStats::from_log(&trace, j as u32, reports))
+        .collect();
     // The final stage's log now lives (re-scoped) in the chain log.
     output.trace = TraceLog::new();
     ChainOutput {
         output,
         stages,
-        trace,
+        trace: if trace_on { trace } else { TraceLog::new() },
     }
 }
 
-/// The barrier-handoff boundary shared by every chain driver: adapts
-/// materialized upstream partitions into downstream input splits (split
-/// `i` extends with partition `i`, created on demand), charging the
-/// handoff stats as it goes.
-fn adapt_partitions<B, UK, UV>(
-    second: &B,
-    partitions: Vec<Vec<(UK, UV)>>,
-    into: &mut Vec<Vec<(B::InKey, B::InValue)>>,
-    stats: &mut HandoffStats,
-) where
-    B: ChainableApplication<UK, UV>,
+/// One upstream stage of a barrier-handoff chain, run to completion:
+/// stamps its finish *before* the boundary copy (the stage's last task
+/// is done; the copy belongs to the boundary), then adapts its
+/// partitions into the downstream input `into` — split `i` extends with
+/// partition `i`, created on demand — charging the handoff stats as it
+/// goes. Intermediate output is moved, never cloned.
+fn barrier_stage<X, Y>(
+    started: Instant,
+    out: JobOutput<X>,
+    next: &Y,
+    into: &mut Vec<Vec<(Y::InKey, Y::InValue)>>,
+) -> StageParts
+where
+    X: Application,
+    Y: ChainableApplication<X::OutKey, X::OutValue>,
 {
-    if into.len() < partitions.len() {
-        into.resize_with(partitions.len(), Vec::new);
+    let finished_secs = started.elapsed().as_secs_f64();
+    let mut stats = HandoffStats::default();
+    if into.len() < out.partitions.len() {
+        into.resize_with(out.partitions.len(), Vec::new);
     }
-    for (i, partition) in partitions.into_iter().enumerate() {
+    for (i, partition) in out.partitions.into_iter().enumerate() {
         if !partition.is_empty() {
             stats.batches += 1;
         }
         for (k, v) in partition {
             stats.records += 1;
-            stats.bytes += second.handoff_bytes(&k, &v) as u64;
-            into[i].push(second.adapt_input(k, v));
+            stats.bytes += next.handoff_bytes(&k, &v) as u64;
+            into[i].push(next.adapt_input(k, v));
         }
     }
+    StageParts {
+        counters: out.counters,
+        reports: out.reports,
+        handoff: Some(stats),
+        finished_secs,
+        trace: out.trace,
+    }
+}
+
+/// The final stage's [`StageParts`]: it hands nothing off, and its
+/// output survives as the chain output (its log moves into the parts).
+fn final_stage<B: Application>(out: &mut JobOutput<B>, finished_secs: f64) -> StageParts {
+    StageParts {
+        counters: out.counters.clone(),
+        reports: out.reports.clone(),
+        handoff: None,
+        finished_secs,
+        trace: std::mem::take(&mut out.trace),
+    }
+}
+
+/// The barrier-handoff chain: every upstream branch runs to completion
+/// through `run_up` and is adapted into the downstream input in branch
+/// order (intake `i` is the concatenation of every branch's partition
+/// `i`), then the downstream stage runs through `run_down`. The stage
+/// runners are closures so the plain and the cached drivers share the
+/// fold.
+fn barrier_fold<A, B>(
+    second: &B,
+    branch_splits: Vec<Vec<InputSplit<A>>>,
+    mut run_up: impl FnMut(usize, Vec<InputSplit<A>>) -> MrResult<JobOutput<A>>,
+    run_down: impl FnOnce(Vec<InputSplit<B>>) -> MrResult<JobOutput<B>>,
+    trace_on: bool,
+) -> MrResult<ChainOutput<B>>
+where
+    A: Application,
+    B: ChainableApplication<A::OutKey, A::OutValue>,
+{
+    let started = Instant::now();
+    let mut parts = Vec::with_capacity(branch_splits.len() + 1);
+    let mut splits2 = Vec::new();
+    for (b, splits) in branch_splits.into_iter().enumerate() {
+        parts.push(barrier_stage(
+            started,
+            run_up(b, splits)?,
+            second,
+            &mut splits2,
+        ));
+    }
+    let mut out = run_down(splits2)?;
+    parts.push(final_stage(&mut out, started.elapsed().as_secs_f64()));
+    Ok(assemble_chain(trace_on, parts, out))
+}
+
+/// One streaming boundary's transport: a bounded batch channel per
+/// upstream reducer, each feeding one downstream map intake.
+#[allow(clippy::type_complexity)]
+fn boundary<X: Application>(
+    pool: &mut Pool<'_>,
+    upstream_reducers: usize,
+) -> (Vec<PoolSender<Handoff<X>>>, Vec<PoolReceiver<Handoff<X>>>) {
+    (0..upstream_reducers)
+        .map(|_| pool.channel::<Handoff<X>>(BATCH_CHANNEL_DEPTH))
+        .unzip()
+}
+
+/// The reduce-output sink factory of one upstream stage: reducer `r`
+/// ships adapted batches into `txs[r]`, charging `stats`. The factory
+/// owns the senders it was given, so once `build_stage` drops it the
+/// sinks hold the only senders and each intake sees EOF exactly when
+/// its last upstream sink closes.
+fn handoff_sinks<'a, B, UK, UV>(
+    downstream: &'a B,
+    txs: Vec<PoolSender<Handoff<B>>>,
+    batch_bytes: usize,
+    stats: &'a Mutex<HandoffStats>,
+    started: Instant,
+) -> impl Fn(usize) -> HandoffSink<'a, B, UK, UV> + 'a
+where
+    B: ChainableApplication<UK, UV>,
+    UK: 'a,
+    UV: 'a,
+{
+    move |r| HandoffSink {
+        downstream,
+        tx: Some(txs[r].clone()),
+        pending: VecDeque::new(),
+        buf: Vec::new(),
+        buf_bytes: 0,
+        batch_bytes,
+        emitted: 0,
+        batches: 0,
+        bytes: 0,
+        started,
+        first_secs: None,
+        stats,
+        _upstream: std::marker::PhantomData,
+    }
+}
+
+/// Collects a streamed upstream stage after the pool finished: its run
+/// (the sinks, and with them their borrows of `stats`, are dropped) plus
+/// the boundary stats every one of its sinks merged.
+fn upstream_parts<X, S>(
+    state: StageState<X, S>,
+    stats: &Mutex<HandoffStats>,
+) -> MrResult<StageParts>
+where
+    X: Application,
+    S: ReduceSink<X>,
+{
+    let run = collect_stage(state)?;
+    Ok(StageParts {
+        counters: run.counters,
+        reports: run.reports,
+        handoff: Some(std::mem::take(&mut *stats.lock().unwrap())),
+        finished_secs: run.finished_secs,
+        trace: run.trace,
+    })
+}
+
+/// Collects a streamed chain's final stage: its parts and its output.
+fn final_parts<B: Application>(
+    state: StageState<B, StageOut<B>>,
+) -> MrResult<(StageParts, JobOutput<B>)> {
+    let run = collect_stage(state)?;
+    let finished_secs = run.finished_secs;
+    let mut out = run.into_job_output();
+    Ok((final_stage(&mut out, finished_secs), out))
+}
+
+/// The worker count of a one-pool chain: the widest stage's knob.
+fn pool_width(spec: &ChainSpec) -> usize {
+    spec.stages
+        .iter()
+        .map(|c| c.pool_workers)
+        .max()
+        .unwrap_or(1)
 }
 
 impl LocalRunner {
@@ -407,10 +499,12 @@ impl LocalRunner {
     /// [`ChainableApplication::adapt_input`], becomes `second`'s map
     /// input. `spec` must hold exactly two stage configs.
     ///
-    /// Under the barrier handoff this is literally the sequential
-    /// baseline (run job 1, materialize, run job 2); under the streaming
-    /// handoff both stages' task graphs share one worker pool and job
-    /// 2's map intake overlaps job 1's reduce stage.
+    /// This is the one-branch case of
+    /// [`run_chain_fanin2`](LocalRunner::run_chain_fanin2): under the
+    /// barrier handoff it is literally the sequential baseline (run job
+    /// 1, materialize, run job 2); under the streaming handoff both
+    /// stages' task graphs share one worker pool and job 2's map intake
+    /// overlaps job 1's reduce stage.
     pub fn run_chain2<A, B, PA, PB>(
         &self,
         first: &A,
@@ -426,17 +520,8 @@ impl LocalRunner {
         PA: Partitioner<A::MapKey> + Sync,
         PB: Partitioner<B::MapKey> + Sync,
     {
-        spec.validate()?;
-        if spec.len() != 2 {
-            return Err(MrError::InvalidConfig(format!(
-                "run_chain2 needs exactly 2 stages, spec has {}",
-                spec.len()
-            )));
-        }
-        match spec.chain.handoff {
-            HandoffMode::Barrier => self.chain2_barrier(first, second, splits, spec, pa, pb),
-            HandoffMode::Streaming => self.chain2_streaming(first, second, splits, spec, pa, pb),
-        }
+        check_two_stages("run_chain2", spec)?;
+        self.run_chain_fanin2(&[first], second, vec![splits], spec, pa, pb)
     }
 
     /// Runs a two-job chain through the shared result cache: each stage
@@ -481,172 +566,18 @@ impl LocalRunner {
         B::OutKey: Sync + SizeEstimate,
         B::OutValue: Sync + SizeEstimate,
     {
-        spec.validate()?;
-        if spec.len() != 2 {
-            return Err(MrError::InvalidConfig(format!(
-                "run_chain2_cached needs exactly 2 stages, spec has {}",
-                spec.len()
-            )));
-        }
+        check_two_stages("run_chain2_cached", spec)?;
         if spec.chain.handoff == HandoffMode::Streaming {
-            return self.chain2_streaming(first, second, splits, spec, pa, pb);
+            return self.run_chain2(first, second, splits, spec, pa, pb);
         }
-        let started = Instant::now();
-        let out1 = self.run_cached(first, splits, &spec.stages[0], pa, cache)?;
-        let stage1_secs = started.elapsed().as_secs_f64();
-        let mut stats = HandoffStats::default();
-        let mut splits2: Vec<Vec<(B::InKey, B::InValue)>> = Vec::new();
-        adapt_partitions(second, out1.partitions, &mut splits2, &mut stats);
-        let part1 = StageParts {
-            counters: out1.counters,
-            reports: out1.reports,
-            handoff: Some(stats),
-            finished_secs: stage1_secs,
-            trace: out1.trace,
-        };
-        let mut out2 = self.run_cached(second, splits2, &spec.stages[1], pb, cache)?;
-        let part2 = StageParts {
-            counters: out2.counters.clone(),
-            reports: out2.reports.clone(),
-            handoff: None,
-            finished_secs: started.elapsed().as_secs_f64(),
-            trace: std::mem::take(&mut out2.trace),
-        };
-        Ok(assemble_chain(
-            chain_tracing(spec),
-            vec![part1, part2],
-            out2,
-        ))
-    }
-
-    fn chain2_barrier<A, B, PA, PB>(
-        &self,
-        first: &A,
-        second: &B,
-        splits: Vec<Vec<(A::InKey, A::InValue)>>,
-        spec: &ChainSpec,
-        pa: &PA,
-        pb: &PB,
-    ) -> MrResult<ChainOutput<B>>
-    where
-        A: Application,
-        B: ChainableApplication<A::OutKey, A::OutValue>,
-        PA: Partitioner<A::MapKey> + Sync,
-        PB: Partitioner<B::MapKey> + Sync,
-    {
-        let started = Instant::now();
-        let out1 = self.run_with_partitioner(first, splits, &spec.stages[0], pa)?;
-        let stage1_secs = started.elapsed().as_secs_f64();
-        let mut stats = HandoffStats::default();
-        let mut splits2: Vec<Vec<(B::InKey, B::InValue)>> = Vec::new();
-        adapt_partitions(second, out1.partitions, &mut splits2, &mut stats);
-        let part1 = StageParts {
-            counters: out1.counters,
-            reports: out1.reports,
-            handoff: Some(stats),
-            finished_secs: stage1_secs,
-            trace: out1.trace,
-        };
-        let mut out2 = self.run_with_partitioner(second, splits2, &spec.stages[1], pb)?;
-        let part2 = StageParts {
-            counters: out2.counters.clone(),
-            reports: out2.reports.clone(),
-            handoff: None,
-            finished_secs: started.elapsed().as_secs_f64(),
-            trace: std::mem::take(&mut out2.trace),
-        };
-        Ok(assemble_chain(
-            chain_tracing(spec),
-            vec![part1, part2],
-            out2,
-        ))
-    }
-
-    fn chain2_streaming<A, B, PA, PB>(
-        &self,
-        first: &A,
-        second: &B,
-        splits: Vec<Vec<(A::InKey, A::InValue)>>,
-        spec: &ChainSpec,
-        pa: &PA,
-        pb: &PB,
-    ) -> MrResult<ChainOutput<B>>
-    where
-        A: Application,
-        B: ChainableApplication<A::OutKey, A::OutValue>,
-        PA: Partitioner<A::MapKey> + Sync,
-        PB: Partitioner<B::MapKey> + Sync,
-    {
-        let started = Instant::now();
-        let cfg1 = &spec.stages[0];
-        let cfg2 = &spec.stages[1];
-        let batch_bytes = spec.chain.handoff_batch_bytes;
-        // Declared before the stage states: stage 1's sinks borrow it.
-        let stats = Mutex::new(HandoffStats::default());
-        let state1: StageState<A, HandoffSink<'_, B, A::OutKey, A::OutValue>> =
-            StageState::new(cfg1, splits.len());
-        let state2: StageState<B, StageOut<B>> = StageState::new(cfg2, cfg1.reducers);
-        let mut pool = Pool::new();
-        let mut txs: Vec<PoolSender<Handoff<B>>> = Vec::with_capacity(cfg1.reducers);
-        let mut rxs = Vec::with_capacity(cfg1.reducers);
-        for _ in 0..cfg1.reducers {
-            let (tx, rx) = pool.channel::<Handoff<B>>(BATCH_CHANNEL_DEPTH);
-            txs.push(tx);
-            rxs.push(rx);
-        }
-        build_stage(
-            &mut pool,
-            &state2,
+        spec.validate()?;
+        barrier_fold(
             second,
-            cfg2,
-            pb,
-            StageInput::Intakes(rxs),
-            self.map_threads,
-            None,
-            |_| Vec::new(),
-        )?;
-        {
-            let txs = &txs;
-            let stats = &stats;
-            let make_sink = move |r: usize| {
-                HandoffSink::new(second, txs[r].clone(), batch_bytes, stats, started)
-            };
-            build_stage(
-                &mut pool,
-                &state1,
-                first,
-                cfg1,
-                pa,
-                StageInput::Splits(&splits),
-                self.map_threads,
-                None,
-                make_sink,
-            )?;
-        }
-        drop(txs); // sinks hold the only senders: EOF when they close
-        pool.run(cfg1.pool_workers.max(cfg2.pool_workers))?;
-
-        let (counters1, reports1, trace1, secs1) = into_stage_parts(collect_stage(state1)?);
-        let mut run2 = collect_stage(state2)?;
-        let part1 = StageParts {
-            counters: counters1,
-            reports: reports1,
-            handoff: Some(stats.into_inner().unwrap()),
-            finished_secs: secs1,
-            trace: trace1,
-        };
-        let part2 = StageParts {
-            counters: run2.counters.clone(),
-            reports: run2.reports.clone(),
-            handoff: None,
-            finished_secs: run2.finished_secs,
-            trace: std::mem::take(&mut run2.trace),
-        };
-        Ok(assemble_chain(
+            vec![splits],
+            |_, s| self.run_cached(first, s, &spec.stages[0], pa, cache),
+            |s| self.run_cached(second, s, &spec.stages[1], pb, cache),
             chain_tracing(spec),
-            vec![part1, part2],
-            run2.into_job_output(),
-        ))
+        )
     }
 
     /// Runs a simple fan-in chain: several upstream jobs of the same
@@ -686,42 +617,22 @@ impl LocalRunner {
             )));
         }
         let branches = firsts.len();
-        let r1 = spec.stages[0].reducers;
         let cfg2 = &spec.stages[branches];
-        let started = Instant::now();
-
         if spec.chain.handoff == HandoffMode::Barrier {
-            // Sequential baseline: run every branch, then concatenate
-            // adapted partition i across branches into intake split i.
-            let mut parts = Vec::with_capacity(branches + 1);
-            let mut splits2: Vec<Vec<(B::InKey, B::InValue)>> =
-                (0..r1).map(|_| Vec::new()).collect();
-            for (b, (app, splits)) in firsts.iter().zip(branch_splits).enumerate() {
-                let out = self.run_with_partitioner(*app, splits, &spec.stages[b], pa)?;
-                let mut stats = HandoffStats::default();
-                adapt_partitions(second, out.partitions, &mut splits2, &mut stats);
-                parts.push(StageParts {
-                    counters: out.counters,
-                    reports: out.reports,
-                    handoff: Some(stats),
-                    finished_secs: started.elapsed().as_secs_f64(),
-                    trace: out.trace,
-                });
-            }
-            let mut out2 = self.run_with_partitioner(second, splits2, cfg2, pb)?;
-            parts.push(StageParts {
-                counters: out2.counters.clone(),
-                reports: out2.reports.clone(),
-                handoff: None,
-                finished_secs: started.elapsed().as_secs_f64(),
-                trace: std::mem::take(&mut out2.trace),
-            });
-            return Ok(assemble_chain(chain_tracing(spec), parts, out2));
+            return barrier_fold(
+                second,
+                branch_splits,
+                |b, s| self.run_with_partitioner(firsts[b], s, &spec.stages[b], pa),
+                |s| self.run_with_partitioner(second, s, cfg2, pb),
+                chain_tracing(spec),
+            );
         }
 
         // Streaming fan-in: every branch's reducer i ships into the
-        // shared intake channel i; EOF when the last branch's sink (and
-        // the originals held here) drop.
+        // shared intake channel i; EOF when the last branch's sink
+        // closes.
+        let started = Instant::now();
+        let r1 = spec.stages[0].reducers;
         let batch_bytes = spec.chain.handoff_batch_bytes;
         let branch_stats: Vec<Mutex<HandoffStats>> = (0..branches)
             .map(|_| Mutex::new(HandoffStats::default()))
@@ -732,15 +643,9 @@ impl LocalRunner {
                 .enumerate()
                 .map(|(b, splits)| StageState::new(&spec.stages[b], splits.len()))
                 .collect();
-        let state2: StageState<B, Vec<(B::OutKey, B::OutValue)>> = StageState::new(cfg2, r1);
+        let state2: StageState<B, StageOut<B>> = StageState::new(cfg2, r1);
         let mut pool = Pool::new();
-        let mut txs: Vec<PoolSender<Handoff<B>>> = Vec::with_capacity(r1);
-        let mut rxs = Vec::with_capacity(r1);
-        for _ in 0..r1 {
-            let (tx, rx) = pool.channel::<Handoff<B>>(BATCH_CHANNEL_DEPTH);
-            txs.push(tx);
-            rxs.push(rx);
-        }
+        let (txs, rxs) = boundary::<B>(&mut pool, r1);
         build_stage(
             &mut pool,
             &state2,
@@ -753,11 +658,6 @@ impl LocalRunner {
             |_| Vec::new(),
         )?;
         for (b, (app, splits)) in firsts.iter().zip(&branch_splits).enumerate() {
-            let txs = &txs;
-            let stats = &branch_stats[b];
-            let make_sink = move |r: usize| {
-                HandoffSink::new(second, txs[r].clone(), batch_bytes, stats, started)
-            };
             build_stage(
                 &mut pool,
                 &branch_states[b],
@@ -767,42 +667,19 @@ impl LocalRunner {
                 StageInput::Splits(splits),
                 self.map_threads,
                 None,
-                make_sink,
+                handoff_sinks(second, txs.clone(), batch_bytes, &branch_stats[b], started),
             )?;
         }
         drop(txs);
-        let workers = spec
-            .stages
-            .iter()
-            .map(|c| c.pool_workers)
-            .max()
-            .unwrap_or(1);
-        pool.run(workers)?;
+        pool.run(pool_width(spec))?;
 
         let mut parts = Vec::with_capacity(branches + 1);
         for (state, stats) in branch_states.into_iter().zip(&branch_stats) {
-            let (counters, reports, trace, finished_secs) = into_stage_parts(collect_stage(state)?);
-            parts.push(StageParts {
-                counters,
-                reports,
-                handoff: Some(std::mem::take(&mut *stats.lock().unwrap())),
-                finished_secs,
-                trace,
-            });
+            parts.push(upstream_parts(state, stats)?);
         }
-        let mut run2 = collect_stage(state2)?;
-        parts.push(StageParts {
-            counters: run2.counters.clone(),
-            reports: run2.reports.clone(),
-            handoff: None,
-            finished_secs: run2.finished_secs,
-            trace: std::mem::take(&mut run2.trace),
-        });
-        Ok(assemble_chain(
-            chain_tracing(spec),
-            parts,
-            run2.into_job_output(),
-        ))
+        let (last, out) = final_parts(state2)?;
+        parts.push(last);
+        Ok(assemble_chain(chain_tracing(spec), parts, out))
     }
 
     /// Runs a homogeneous K-stage chain: the same application `app` runs
@@ -830,56 +707,26 @@ impl LocalRunner {
     {
         spec.validate()?;
         let k = spec.len();
+        let started = Instant::now();
+        let mut parts = Vec::with_capacity(k);
         if k == 1 || spec.chain.handoff == HandoffMode::Barrier {
             // Sequential fold: run each stage, adapt, feed the next.
-            let started = Instant::now();
-            let mut parts = Vec::with_capacity(k);
             let mut current = splits;
-            let mut out = None;
-            for (j, cfg) in spec.stages.iter().enumerate() {
-                let mut run = self.run_with_partitioner(app, current, cfg, partitioner)?;
-                let last = j + 1 == k;
-                let mut stats = HandoffStats::default();
-                current = Vec::new();
-                // Intermediate generations are consumed by the next
-                // stage, not materialized: move them (and the stage's
-                // counters/reports) instead of cloning; only the final
-                // generation's run survives as the chain output.
-                let (counters, reports) = if last {
-                    (run.counters.clone(), run.reports.clone())
-                } else {
-                    adapt_partitions(
-                        app,
-                        std::mem::take(&mut run.partitions),
-                        &mut current,
-                        &mut stats,
-                    );
-                    (
-                        std::mem::take(&mut run.counters),
-                        std::mem::take(&mut run.reports),
-                    )
-                };
-                parts.push(StageParts {
-                    counters,
-                    reports,
-                    handoff: Some(stats),
-                    finished_secs: started.elapsed().as_secs_f64(),
-                    trace: std::mem::take(&mut run.trace),
-                });
-                out = Some(run);
+            for cfg in &spec.stages[..k - 1] {
+                let out =
+                    self.run_with_partitioner(app, std::mem::take(&mut current), cfg, partitioner)?;
+                parts.push(barrier_stage(started, out, app, &mut current));
             }
-            return Ok(assemble_chain(
-                chain_tracing(spec),
-                parts,
-                out.expect("k >= 1 stages ran"),
-            ));
+            let mut out =
+                self.run_with_partitioner(app, current, &spec.stages[k - 1], partitioner)?;
+            parts.push(final_stage(&mut out, started.elapsed().as_secs_f64()));
+            return Ok(assemble_chain(chain_tracing(spec), parts, out));
         }
 
         // Streaming: all K stages live on one pool, connected by K-1
         // channel boundaries (boundary j carries stage j's output into
         // stage j+1's intake; its channel count is stage j's reducer
         // count).
-        let started = Instant::now();
         let batch_bytes = spec.chain.handoff_batch_bytes;
         // Declared before the states: the middle stages' sinks borrow it.
         let stats: Vec<Mutex<HandoffStats>> = (0..k - 1)
@@ -898,104 +745,80 @@ impl LocalRunner {
         let last_state: StageState<A, StageOut<A>> =
             StageState::new(&spec.stages[k - 1], spec.stages[k - 2].reducers);
         let mut pool = Pool::new();
-        let mut boundary_txs: Vec<Vec<PoolSender<Handoff<A>>>> = Vec::with_capacity(k - 1);
-        let mut boundary_rxs: Vec<Option<Vec<_>>> = Vec::with_capacity(k - 1);
-        for j in 0..k - 1 {
-            let n = spec.stages[j].reducers;
-            let mut txs = Vec::with_capacity(n);
-            let mut rxs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let (tx, rx) = pool.channel::<Handoff<A>>(BATCH_CHANNEL_DEPTH);
-                txs.push(tx);
-                rxs.push(rx);
-            }
-            boundary_txs.push(txs);
-            boundary_rxs.push(Some(rxs));
-        }
+        let (mut txs, mut rxs): (Vec<_>, Vec<_>) = spec.stages[..k - 1]
+            .iter()
+            .map(|c| {
+                let (tx, rx) = boundary::<A>(&mut pool, c.reducers);
+                (Some(tx), Some(rx))
+            })
+            .unzip();
         build_stage(
             &mut pool,
             &last_state,
             app,
             &spec.stages[k - 1],
             partitioner,
-            StageInput::Intakes(boundary_rxs[k - 2].take().expect("one taker")),
+            StageInput::Intakes(rxs[k - 2].take().expect("one taker")),
             self.map_threads,
             None,
             |_| Vec::new(),
         )?;
         for j in 1..k - 1 {
-            let txs_j = &boundary_txs[j];
-            let stats_j = &stats[j];
-            let make_sink = move |r: usize| {
-                HandoffSink::new(app, txs_j[r].clone(), batch_bytes, stats_j, started)
-            };
             build_stage(
                 &mut pool,
                 &mid_states[j],
                 app,
                 &spec.stages[j],
                 partitioner,
-                StageInput::Intakes(boundary_rxs[j - 1].take().expect("one taker")),
+                StageInput::Intakes(rxs[j - 1].take().expect("one taker")),
                 self.map_threads,
                 None,
-                make_sink,
+                handoff_sinks(
+                    app,
+                    txs[j].take().expect("one taker"),
+                    batch_bytes,
+                    &stats[j],
+                    started,
+                ),
             )?;
         }
-        {
-            let txs_0 = &boundary_txs[0];
-            let stats_0 = &stats[0];
-            let make_sink = move |r: usize| {
-                HandoffSink::new(app, txs_0[r].clone(), batch_bytes, stats_0, started)
-            };
-            build_stage(
-                &mut pool,
-                &mid_states[0],
+        build_stage(
+            &mut pool,
+            &mid_states[0],
+            app,
+            &spec.stages[0],
+            partitioner,
+            StageInput::Splits(&splits),
+            self.map_threads,
+            None,
+            handoff_sinks(
                 app,
-                &spec.stages[0],
-                partitioner,
-                StageInput::Splits(&splits),
-                self.map_threads,
-                None,
-                make_sink,
-            )?;
-        }
-        drop(boundary_txs);
-        let workers = spec
-            .stages
-            .iter()
-            .map(|c| c.pool_workers)
-            .max()
-            .unwrap_or(1);
-        pool.run(workers)?;
+                txs[0].take().expect("one taker"),
+                batch_bytes,
+                &stats[0],
+                started,
+            ),
+        )?;
+        pool.run(pool_width(spec))?;
 
-        let mut parts = Vec::with_capacity(k);
-        let mut handoffs = stats
-            .iter()
-            .map(|m| std::mem::take(&mut *m.lock().unwrap()));
-        for state in mid_states {
-            let (counters, reports, trace, finished_secs) = into_stage_parts(collect_stage(state)?);
-            parts.push(StageParts {
-                counters,
-                reports,
-                handoff: handoffs.next(),
-                finished_secs,
-                trace,
-            });
+        for (state, stats) in mid_states.into_iter().zip(&stats) {
+            parts.push(upstream_parts(state, stats)?);
         }
-        let mut run_last = collect_stage(last_state)?;
-        parts.push(StageParts {
-            counters: run_last.counters.clone(),
-            reports: run_last.reports.clone(),
-            handoff: None,
-            finished_secs: run_last.finished_secs,
-            trace: std::mem::take(&mut run_last.trace),
-        });
-        Ok(assemble_chain(
-            chain_tracing(spec),
-            parts,
-            run_last.into_job_output(),
-        ))
+        let (last, out) = final_parts(last_state)?;
+        parts.push(last);
+        Ok(assemble_chain(chain_tracing(spec), parts, out))
     }
+}
+
+/// The two-stage drivers' spec check, before anything is spawned.
+fn check_two_stages(driver: &str, spec: &ChainSpec) -> MrResult<()> {
+    if spec.len() != 2 {
+        return Err(MrError::InvalidConfig(format!(
+            "{driver} needs exactly 2 stages, spec has {}",
+            spec.len()
+        )));
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -16,7 +16,8 @@
 //! Keys are stable content hashes ([`mr_cache::KeyBuilder`]) over the
 //! input-chunk bytes (via [`StableHash`]), the application identity —
 //! its type name **plus** its instance parameters, via
-//! [`Application::cache_identity`] — the partitioner type and the
+//! [`Application::cache_identity`] — the partitioner identity (type
+//! plus parameters, via [`Partitioner::cache_identity`]) and the
 //! `JobConfig` fields that affect the artifact (reducers, combiner,
 //! store index; plus the engine for job artifacts). Identical work keys
 //! identically *across jobs, tenants and executors*; anything differing
@@ -25,21 +26,30 @@
 //! artifact it would have computed bit-for-bit itself. Two guard rails
 //! protect it:
 //!
-//! * An application that does not vouch for its identity (a
-//!   parameterized app without a
-//!   [`cache_identity`](Application::cache_identity) override) yields
-//!   `None` from the key derivations and **bypasses the cache**
+//! * An application or partitioner that does not vouch for its
+//!   identity (parameterized, without a `cache_identity` override)
+//!   yields `None` from the key derivations and **bypasses the cache**
 //!   (`cache.bypass.count`) instead of keying incompletely.
 //! * Jobs with an enabled snapshot policy never use the *job*-level
 //!   artifact (a whole-job hit skips the run and therefore cannot
 //!   reproduce the snapshot stream a cold run publishes); their split
 //!   artifacts still cache, since map output does not feed snapshots.
+//!
+//! `JobCache` is the whole-job protocol both cached entry points share
+//! ([`run_cached`](crate::local::LocalRunner::run_cached) and the
+//! [`serve`](crate::local::service::serve) runners): it is decided once
+//! per job, consulted before any split key is hashed, and owns the hit
+//! output, the publication of sealed partitions and the cache mark.
 
+use super::{record_counter_totals, InputSplit};
 use crate::config::{CacheBudget, CombinerPolicy, Engine, JobConfig, StoreIndex};
 use crate::counters::{names, Counters};
+use crate::output::JobOutput;
+use crate::partition::Partitioner;
 use crate::size::SizeEstimate;
 use crate::traits::{Application, IdentityWriter};
 use mr_cache::{CacheKey, CacheStats, KeyBuilder, Payload, ResultCache, StableHash};
+use mr_trace::{Scope, TraceDispatcher, TraceLog, TraceRecorder};
 use std::sync::Arc;
 
 impl IdentityWriter for KeyBuilder {
@@ -114,52 +124,27 @@ impl SharedCache {
         self.inner.clear()
     }
 
-    /// Typed zero-copy lookup of a split artifact.
-    pub(crate) fn get_split<A>(&self, key: CacheKey) -> Option<(Arc<SplitParts<A>>, u64)>
+    /// Typed zero-copy lookup of a partitioned artifact — a split's
+    /// [`SplitParts`] or a job's [`JobParts`] (their keys never alias).
+    #[allow(clippy::type_complexity)]
+    pub(crate) fn get<K, V>(&self, key: CacheKey) -> Option<(Arc<Vec<Vec<(K, V)>>>, u64)>
     where
-        A: Application,
-        A::MapKey: Sync,
-        A::MapValue: Sync,
+        K: Send + Sync + 'static,
+        V: Send + Sync + 'static,
     {
         let (payload, bytes) = self.inner.get(key)?;
-        payload.downcast::<SplitParts<A>>().ok().map(|p| (p, bytes))
+        payload.downcast().ok().map(|p| (p, bytes))
     }
 
-    /// Publishes a split artifact, returning what the store did with it.
-    pub(crate) fn put_split<A>(&self, key: CacheKey, parts: SplitParts<A>) -> InsertOutcome
+    /// Publishes a partitioned artifact, returning what the store did
+    /// with it.
+    pub(crate) fn put<K, V>(&self, key: CacheKey, parts: Vec<Vec<(K, V)>>) -> InsertOutcome
     where
-        A: Application,
-        A::MapKey: Sync,
-        A::MapValue: Sync,
+        K: SizeEstimate + Send + Sync + 'static,
+        V: SizeEstimate + Send + Sync + 'static,
     {
         let bytes = parts_bytes(&parts);
-        self.put(key, Arc::new(parts) as Payload, bytes)
-    }
-
-    /// Typed zero-copy lookup of a sealed job artifact.
-    pub(crate) fn get_job<A>(&self, key: CacheKey) -> Option<(Arc<JobParts<A>>, u64)>
-    where
-        A: Application,
-        A::OutKey: Sync,
-        A::OutValue: Sync,
-    {
-        let (payload, bytes) = self.inner.get(key)?;
-        payload.downcast::<JobParts<A>>().ok().map(|p| (p, bytes))
-    }
-
-    /// Publishes a sealed job artifact.
-    pub(crate) fn put_job<A>(&self, key: CacheKey, parts: JobParts<A>) -> InsertOutcome
-    where
-        A: Application,
-        A::OutKey: Sync + SizeEstimate,
-        A::OutValue: Sync + SizeEstimate,
-    {
-        let bytes = parts_bytes(&parts);
-        self.put(key, Arc::new(parts) as Payload, bytes)
-    }
-
-    fn put(&self, key: CacheKey, payload: Payload, bytes: u64) -> InsertOutcome {
-        match self.inner.insert(key, payload, bytes) {
+        match self.inner.insert(key, Arc::new(parts) as Payload, bytes) {
             Ok(evicted) => InsertOutcome {
                 bytes,
                 evictions: evicted.len() as u64,
@@ -248,84 +233,101 @@ fn write_config(k: &mut KeyBuilder, cfg: &JobConfig) {
 
 /// Application + partitioner identity, the "same computation" half of
 /// the key (the other half is the input content). Returns `false` — and
-/// the caller must decline caching — when the app cannot vouch for a
-/// complete instance identity ([`Application::cache_identity`]).
-fn write_identity<A: Application>(k: &mut KeyBuilder, app: &A, partitioner_id: &str) -> bool {
+/// the caller must decline caching — when the app or the partitioner
+/// cannot vouch for a complete instance identity
+/// ([`Application::cache_identity`], [`Partitioner::cache_identity`]).
+fn write_identity<A, P>(k: &mut KeyBuilder, app: &A, partitioner: &P) -> bool
+where
+    A: Application,
+    P: Partitioner<A::MapKey>,
+{
     k.write_str(std::any::type_name::<A>());
     k.write_str(app.name());
-    k.write_str(partitioner_id);
-    app.cache_identity(k)
+    k.write_str(std::any::type_name::<P>());
+    app.cache_identity(k) && partitioner.cache_identity(k)
 }
 
-/// Whether `app` vouches for a complete cache identity — parameterless
-/// (zero-sized) or carrying a faithful
-/// [`cache_identity`](Application::cache_identity) override. Apps that
-/// do not must bypass the shared cache entirely.
-pub(crate) fn identity_complete<A: Application>(app: &A) -> bool {
-    app.cache_identity(&mut KeyBuilder::new())
+/// Whether `app` and `partitioner` vouch for a complete cache identity —
+/// parameterless (zero-sized) or carrying a faithful `cache_identity`
+/// override. Jobs whose pair does not must bypass the shared cache.
+pub(crate) fn identity_complete<A, P>(app: &A, partitioner: &P) -> bool
+where
+    A: Application,
+    P: Partitioner<A::MapKey>,
+{
+    write_identity(&mut KeyBuilder::new(), app, partitioner)
+}
+
+/// The head both key classes share — class tag, app + partitioner
+/// identity, artifact-shaping config — or `None` when the identity is
+/// incomplete (the work must then run uncached).
+fn key_head<A, P>(tag: &str, app: &A, cfg: &JobConfig, partitioner: &P) -> Option<KeyBuilder>
+where
+    A: Application,
+    P: Partitioner<A::MapKey>,
+{
+    let mut k = KeyBuilder::new();
+    k.write_str(tag);
+    if !write_identity(&mut k, app, partitioner) {
+        return None;
+    }
+    write_config(&mut k, cfg);
+    Some(k)
+}
+
+/// Absorbs one split's content: its record count, then every record.
+fn write_split<K: StableHash, V: StableHash>(k: &mut KeyBuilder, split: &[(K, V)]) {
+    k.write_u64(split.len() as u64);
+    for (key, value) in split {
+        key.stable_hash(k);
+        value.stable_hash(k);
+    }
 }
 
 /// Content-addressed key of one input split's map-output artifact;
-/// `None` when the app's identity is incomplete (the split must then run
-/// uncached).
-pub(crate) fn split_key<A>(
+/// `None` when the identity is incomplete.
+pub(crate) fn split_key<A, P>(
     app: &A,
     cfg: &JobConfig,
-    partitioner_id: &str,
+    partitioner: &P,
     split: &[(A::InKey, A::InValue)],
 ) -> Option<CacheKey>
 where
     A: Application,
+    P: Partitioner<A::MapKey>,
     A::InKey: StableHash,
     A::InValue: StableHash,
 {
-    let mut k = KeyBuilder::new();
-    k.write_str("mr.split.v2");
-    if !write_identity(&mut k, app, partitioner_id) {
-        return None;
-    }
-    write_config(&mut k, cfg);
-    k.write_u64(split.len() as u64);
-    for (key, value) in split {
-        key.stable_hash(&mut k);
-        value.stable_hash(&mut k);
-    }
+    let mut k = key_head("mr.split.v2", app, cfg, partitioner)?;
+    write_split(&mut k, split);
     Some(k.finish())
 }
 
 /// Content-addressed key of one whole job's sealed output artifact, or
-/// `None` when the app's identity is incomplete. Adds the engine
+/// `None` when the identity is incomplete. Adds the engine
 /// discriminant on top of the split-key ingredients: both engines
 /// produce byte-identical partitions, but keeping their sealed
 /// artifacts distinct keeps the key an honest description of what ran.
-pub(crate) fn job_key<A>(
+pub(crate) fn job_key<A, P>(
     app: &A,
     cfg: &JobConfig,
-    partitioner_id: &str,
-    splits: &[Vec<(A::InKey, A::InValue)>],
+    partitioner: &P,
+    splits: &[InputSplit<A>],
 ) -> Option<CacheKey>
 where
     A: Application,
+    P: Partitioner<A::MapKey>,
     A::InKey: StableHash,
     A::InValue: StableHash,
 {
-    let mut k = KeyBuilder::new();
-    k.write_str("mr.job.v2");
-    if !write_identity(&mut k, app, partitioner_id) {
-        return None;
-    }
-    write_config(&mut k, cfg);
+    let mut k = key_head("mr.job.v2", app, cfg, partitioner)?;
     k.write_u64(match cfg.engine {
         Engine::Barrier => 0,
         Engine::BarrierLess { .. } => 1,
     });
     k.write_u64(splits.len() as u64);
     for split in splits {
-        k.write_u64(split.len() as u64);
-        for (key, value) in split {
-            key.stable_hash(&mut k);
-            value.stable_hash(&mut k);
-        }
+        write_split(&mut k, split);
     }
     Some(k.finish())
 }
@@ -343,14 +345,14 @@ pub(crate) struct SplitCachePlan<A: Application> {
 
 impl<A: Application> SplitCachePlan<A> {
     /// Derives one key per split and binds both cache directions;
-    /// `None` when the app's instance identity is incomplete (the job
-    /// must then bypass the cache).
-    pub(crate) fn new(
+    /// `None` when the app's or partitioner's instance identity is
+    /// incomplete (the job must then bypass the cache).
+    pub(crate) fn new<P: Partitioner<A::MapKey>>(
         cache: &SharedCache,
         app: &A,
         cfg: &JobConfig,
-        partitioner_id: &str,
-        splits: &[Vec<(A::InKey, A::InValue)>],
+        partitioner: &P,
+        splits: &[InputSplit<A>],
     ) -> Option<Self>
     where
         A::InKey: StableHash,
@@ -360,14 +362,14 @@ impl<A: Application> SplitCachePlan<A> {
     {
         let keys: Vec<CacheKey> = splits
             .iter()
-            .map(|s| split_key(app, cfg, partitioner_id, s))
+            .map(|s| split_key(app, cfg, partitioner, s))
             .collect::<Option<_>>()?;
         let keys2 = keys.clone();
         let lookup_cache = cache.clone();
         let insert_cache = cache.clone();
         Some(SplitCachePlan {
-            lookup: Box::new(move |idx| lookup_cache.get_split::<A>(keys[idx])),
-            insert: Box::new(move |idx, parts| insert_cache.put_split::<A>(keys2[idx], parts)),
+            lookup: Box::new(move |idx| lookup_cache.get(keys[idx])),
+            insert: Box::new(move |idx, parts| insert_cache.put(keys2[idx], parts)),
         })
     }
 
@@ -382,11 +384,200 @@ impl<A: Application> SplitCachePlan<A> {
     }
 }
 
+/// How one job uses the shared cache — decided once, before any split
+/// key is hashed. The single home of the whole-job protocol: the bypass
+/// and miss charges, the hit output, the publication of sealed
+/// partitions and the cache mark all live here, so the cached entry
+/// points only say *when* each step happens.
+pub(crate) enum JobCache {
+    /// No cache handle, or the job's `cfg.cache` is disabled.
+    Uncached,
+    /// The app or partitioner cannot vouch for its identity: the job
+    /// runs uncached and counts `cache.bypass.count`.
+    Bypass,
+    /// Split artifacts plus the sealed whole-job artifact under the key.
+    Keyed(SharedCache, CacheKey),
+    /// Split artifacts only: the job's snapshot policy is on, and a
+    /// whole-job hit (no run) could not replay its snapshot stream.
+    Unkeyed(SharedCache),
+}
+
+impl JobCache {
+    /// Classifies one job: `cache` is the runner's handle, if any.
+    pub(crate) fn new<A, P>(
+        cache: Option<&SharedCache>,
+        app: &A,
+        cfg: &JobConfig,
+        partitioner: &P,
+        splits: &[InputSplit<A>],
+    ) -> Self
+    where
+        A: Application,
+        P: Partitioner<A::MapKey>,
+        A::InKey: StableHash,
+        A::InValue: StableHash,
+    {
+        let Some(cache) = cache.filter(|_| cfg.cache.is_enabled()) else {
+            return JobCache::Uncached;
+        };
+        if cfg.snapshots.is_enabled() {
+            return if identity_complete(app, partitioner) {
+                JobCache::Unkeyed(cache.clone())
+            } else {
+                JobCache::Bypass
+            };
+        }
+        match job_key(app, cfg, partitioner, splits) {
+            Some(key) => JobCache::Keyed(cache.clone(), key),
+            None => JobCache::Bypass,
+        }
+    }
+
+    fn cache(&self) -> Option<&SharedCache> {
+        match self {
+            JobCache::Keyed(cache, _) | JobCache::Unkeyed(cache) => Some(cache),
+            JobCache::Uncached | JobCache::Bypass => None,
+        }
+    }
+
+    /// Consults the sealed-job artifact. A hit is the job's finished
+    /// output: the sealed partitions, only `cache.*` counters, empty
+    /// reports and snapshots (it describes a run that never happened)
+    /// and, with `tracing`, one `scope` batch of those counters plus a
+    /// cache mark at `at_secs`. Otherwise charges what the coming run
+    /// is — a bypass or a whole-job miss — into `counters`.
+    pub(crate) fn lookup<A>(
+        &self,
+        counters: &mut Counters,
+        scope: Scope,
+        at_secs: f64,
+        tracing: bool,
+    ) -> Option<JobOutput<A>>
+    where
+        A: Application,
+        A::OutKey: Sync,
+        A::OutValue: Sync,
+    {
+        match self {
+            JobCache::Bypass => counters.incr(names::CACHE_BYPASS),
+            JobCache::Keyed(cache, key) => {
+                if let Some((parts, bytes)) = cache.get::<A::OutKey, A::OutValue>(*key) {
+                    let mut hit = Counters::new();
+                    hit.incr(names::CACHE_HITS);
+                    hit.add(names::CACHE_HIT_BYTES, bytes);
+                    let trace = if tracing {
+                        let mut rec = TraceRecorder::new(scope, true);
+                        record_counter_totals(&mut rec, &hit);
+                        rec.cache_mark_wall(at_secs, 1, 0, bytes);
+                        let dispatcher = TraceDispatcher::new(true);
+                        rec.flush_into(&dispatcher);
+                        dispatcher.finish()
+                    } else {
+                        TraceLog::default()
+                    };
+                    return Some(JobOutput {
+                        partitions: (*parts).clone(),
+                        counters: hit,
+                        reports: Vec::new(),
+                        snapshots: Vec::new(),
+                        trace,
+                    });
+                }
+                counters.incr(names::CACHE_MISSES);
+            }
+            JobCache::Uncached | JobCache::Unkeyed(_) => {}
+        }
+        None
+    }
+
+    /// The per-split consultation plan for the run after a whole-job
+    /// miss; `None` when the job does not consult the cache.
+    pub(crate) fn split_plan<A, P>(
+        &self,
+        app: &A,
+        cfg: &JobConfig,
+        partitioner: &P,
+        splits: &[InputSplit<A>],
+    ) -> Option<SplitCachePlan<A>>
+    where
+        A: Application,
+        P: Partitioner<A::MapKey>,
+        A::InKey: StableHash,
+        A::InValue: StableHash,
+        A::MapKey: Sync,
+        A::MapValue: Sync,
+    {
+        SplitCachePlan::new(self.cache()?, app, cfg, partitioner, splits)
+    }
+
+    /// Publishes a finished run's sealed partitions under the job key,
+    /// charging the insert into `counters`.
+    pub(crate) fn publish<A>(&self, parts: &JobParts<A>, counters: &mut Counters)
+    where
+        A: Application,
+        A::OutKey: Sync + SizeEstimate,
+        A::OutValue: Sync + SizeEstimate,
+    {
+        if let JobCache::Keyed(cache, key) = self {
+            cache.put(*key, parts.clone()).charge(counters);
+        }
+    }
+
+    /// Records the job's cache mark — its hits and misses per
+    /// `counters`, and the bytes resident now — when it consults the
+    /// cache at all.
+    pub(crate) fn mark(&self, rec: &mut TraceRecorder, at_secs: f64, counters: &Counters) {
+        if let Some(cache) = self.cache() {
+            rec.cache_mark_wall(
+                at_secs,
+                counters.get(names::CACHE_HITS),
+                counters.get(names::CACHE_MISSES),
+                cache.used_bytes(),
+            );
+        }
+    }
+
+    /// Folds the job-level charges (`extra`: the lookup's bypass or miss
+    /// and the publish) into a finished run's counters and, with
+    /// `tracing`, into its trace as one more job-scope batch plus the
+    /// cache mark, so `Counters::from_trace(&out.trace)` keeps agreeing
+    /// with `out.counters`.
+    pub(crate) fn append<A: Application>(
+        &self,
+        out: &mut JobOutput<A>,
+        extra: &Counters,
+        tracing: bool,
+    ) {
+        if let JobCache::Uncached = self {
+            return;
+        }
+        out.counters.merge(extra);
+        if tracing {
+            let mut rec = TraceRecorder::new(Scope::job(0), true);
+            record_counter_totals(&mut rec, extra);
+            self.mark(&mut rec, 0.0, &out.counters);
+            let dispatcher = TraceDispatcher::new(true);
+            rec.flush_into(&dispatcher);
+            out.trace.entries.extend(dispatcher.finish().entries);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::HashPartitioner;
     use crate::testutil::WordCountApp;
     use crate::traits::Emit;
+
+    /// A second parameterless partitioner: a different routing type.
+    struct OtherPartitioner;
+
+    impl Partitioner<String> for OtherPartitioner {
+        fn partition(&self, _key: &String, _partitions: usize) -> usize {
+            0
+        }
+    }
 
     fn split(tag: u64) -> Vec<(u64, String)> {
         (0..4).map(|i| (i, format!("word{tag} w{i}"))).collect()
@@ -395,23 +586,29 @@ mod tests {
     #[test]
     fn split_keys_are_content_addressed() {
         let cfg = JobConfig::new(2);
-        let a = split_key(&WordCountApp, &cfg, "hash", &split(1)).unwrap();
-        let b = split_key(&WordCountApp, &cfg, "hash", &split(1)).unwrap();
-        let c = split_key(&WordCountApp, &cfg, "hash", &split(2)).unwrap();
+        let a = split_key(&WordCountApp, &cfg, &HashPartitioner, &split(1)).unwrap();
+        let b = split_key(&WordCountApp, &cfg, &HashPartitioner, &split(1)).unwrap();
+        let c = split_key(&WordCountApp, &cfg, &HashPartitioner, &split(2)).unwrap();
         assert_eq!(a, b, "same content, same config: same key");
         assert_ne!(a, c, "different content: different key");
-        let other_reducers =
-            split_key(&WordCountApp, &JobConfig::new(3), "hash", &split(1)).unwrap();
+        let other_reducers = split_key(
+            &WordCountApp,
+            &JobConfig::new(3),
+            &HashPartitioner,
+            &split(1),
+        )
+        .unwrap();
         assert_ne!(a, other_reducers, "reducer count shapes the artifact");
-        let other_partitioner = split_key(&WordCountApp, &cfg, "range", &split(1)).unwrap();
+        let other_partitioner =
+            split_key(&WordCountApp, &cfg, &OtherPartitioner, &split(1)).unwrap();
         assert_ne!(a, other_partitioner, "partitioner shapes the artifact");
     }
 
     #[test]
     fn job_and_split_keys_never_alias() {
         let cfg = JobConfig::new(2);
-        let s = split_key(&WordCountApp, &cfg, "hash", &split(1));
-        let j = job_key(&WordCountApp, &cfg, "hash", &[split(1)]);
+        let s = split_key(&WordCountApp, &cfg, &HashPartitioner, &split(1));
+        let j = job_key(&WordCountApp, &cfg, &HashPartitioner, &[split(1)]);
         assert_ne!(s, j, "artifact classes are key-separated");
     }
 
@@ -448,7 +645,14 @@ mod tests {
         fn init(&self, _k: &String) -> u64 {
             0
         }
-        fn absorb(&self, _k: &String, st: &mut u64, v: u64, _s: &mut (), _o: &mut dyn Emit<String, u64>) {
+        fn absorb(
+            &self,
+            _k: &String,
+            st: &mut u64,
+            v: u64,
+            _s: &mut (),
+            _o: &mut dyn Emit<String, u64>,
+        ) {
             *st += v;
         }
         fn merge(&self, _k: &String, a: u64, b: u64) -> u64 {
@@ -496,7 +700,14 @@ mod tests {
         fn init(&self, _k: &String) -> u64 {
             0
         }
-        fn absorb(&self, _k: &String, st: &mut u64, v: u64, _s: &mut (), _o: &mut dyn Emit<String, u64>) {
+        fn absorb(
+            &self,
+            _k: &String,
+            st: &mut u64,
+            v: u64,
+            _s: &mut (),
+            _o: &mut dyn Emit<String, u64>,
+        ) {
             *st += v;
         }
         fn merge(&self, _k: &String, a: u64, b: u64) -> u64 {
@@ -511,27 +722,33 @@ mod tests {
     fn instance_parameters_shape_the_key() {
         let cfg = JobConfig::new(2);
         let input = split(1);
-        let foo = NeedleCount { needle: "foo".into() };
-        let bar = NeedleCount { needle: "bar".into() };
-        let a = split_key(&foo, &cfg, "hash", &input).unwrap();
-        let b = split_key(&bar, &cfg, "hash", &input).unwrap();
+        let foo = NeedleCount {
+            needle: "foo".into(),
+        };
+        let bar = NeedleCount {
+            needle: "bar".into(),
+        };
+        let a = split_key(&foo, &cfg, &HashPartitioner, &input).unwrap();
+        let b = split_key(&bar, &cfg, &HashPartitioner, &input).unwrap();
         assert_ne!(a, b, "differently parameterized instances must not alias");
-        let j1 = job_key(&foo, &cfg, "hash", std::slice::from_ref(&input)).unwrap();
-        let j2 = job_key(&bar, &cfg, "hash", std::slice::from_ref(&input)).unwrap();
+        let j1 = job_key(&foo, &cfg, &HashPartitioner, std::slice::from_ref(&input)).unwrap();
+        let j2 = job_key(&bar, &cfg, &HashPartitioner, std::slice::from_ref(&input)).unwrap();
         assert_ne!(j1, j2);
     }
 
     #[test]
     fn incomplete_identity_declines_every_key() {
         let cfg = JobConfig::new(2);
-        let app = UnkeyedNeedle { needle: "foo".into() };
-        assert!(!identity_complete(&app));
-        assert!(split_key(&app, &cfg, "hash", &split(1)).is_none());
-        assert!(job_key(&app, &cfg, "hash", &[split(1)]).is_none());
+        let app = UnkeyedNeedle {
+            needle: "foo".into(),
+        };
+        assert!(!identity_complete(&app, &HashPartitioner));
+        assert!(split_key(&app, &cfg, &HashPartitioner, &split(1)).is_none());
+        assert!(job_key(&app, &cfg, &HashPartitioner, &[split(1)]).is_none());
         let cache = SharedCache::new(1 << 20);
-        assert!(SplitCachePlan::new(&cache, &app, &cfg, "hash", &[split(1)]).is_none());
+        assert!(SplitCachePlan::new(&cache, &app, &cfg, &HashPartitioner, &[split(1)]).is_none());
         // Zero-sized apps vouch for themselves.
-        assert!(identity_complete(&WordCountApp));
+        assert!(identity_complete(&WordCountApp, &HashPartitioner));
     }
 
     #[test]
@@ -539,11 +756,11 @@ mod tests {
         let cache = SharedCache::new(1 << 20);
         let clone = cache.clone();
         let cfg = JobConfig::new(2);
-        let key = split_key(&WordCountApp, &cfg, "hash", &split(7)).unwrap();
+        let key = split_key(&WordCountApp, &cfg, &HashPartitioner, &split(7)).unwrap();
         let parts: SplitParts<WordCountApp> = vec![vec![("a".into(), 1)], vec![("b".into(), 2)]];
-        let outcome = cache.put_split::<WordCountApp>(key, parts);
+        let outcome = cache.put(key, parts);
         assert!(!outcome.oversize);
-        let (via_clone, bytes) = clone.get_split::<WordCountApp>(key).expect("hit via clone");
+        let (via_clone, bytes) = clone.get::<String, u64>(key).expect("hit via clone");
         assert_eq!(bytes, outcome.bytes);
         assert_eq!(via_clone[1], vec![("b".to_string(), 2)]);
         assert_eq!(clone.stats().hits, 1);
@@ -554,9 +771,9 @@ mod tests {
     fn oversize_outcome_charges_the_typed_counter() {
         let cache = SharedCache::new(8);
         let cfg = JobConfig::new(1);
-        let key = split_key(&WordCountApp, &cfg, "hash", &split(3)).unwrap();
+        let key = split_key(&WordCountApp, &cfg, &HashPartitioner, &split(3)).unwrap();
         let parts: SplitParts<WordCountApp> = vec![vec![("oversized".into(), 1); 64]];
-        let outcome = cache.put_split::<WordCountApp>(key, parts);
+        let outcome = cache.put(key, parts);
         assert!(outcome.oversize);
         let mut counters = Counters::new();
         outcome.charge(&mut counters);

@@ -45,7 +45,6 @@
 //! snapshot each: their finished output.
 
 pub mod cache;
-pub mod memo;
 pub mod pool;
 pub mod service;
 
@@ -53,7 +52,7 @@ use crate::combine::CombinerBuffer;
 use crate::config::{Engine, JobConfig};
 use crate::counters::{names, Counters};
 use crate::engine::barrier::reduce_partition_barrier;
-use crate::engine::pipeline::{reduce_partition_barrierless_traced, IncrementalDriver};
+use crate::engine::pipeline::IncrementalDriver;
 use crate::engine::DriverReport;
 use crate::error::{MrError, MrResult};
 use crate::output::JobOutput;
@@ -61,7 +60,7 @@ use crate::partition::{HashPartitioner, Partitioner};
 use crate::size::SizeEstimate;
 use crate::snapshot::Snapshot;
 use crate::traits::{Application, Emit, FnEmit};
-use cache::{SharedCache, SplitCachePlan, SplitParts};
+use cache::{JobCache, SharedCache, SplitCachePlan, SplitParts};
 use mr_cache::StableHash;
 use mr_trace::{
     Scope, SpanKind, TaskKind, TraceDispatcher, TraceEvent, TraceLog, TraceRecorder, NO_NODE,
@@ -1330,6 +1329,8 @@ where
                     drained: false,
                 });
             }
+            let emitter =
+                || ShuffleEmitter::new(app, cfg, partitioner, txs.clone(), &state.batch_pool);
             match input {
                 StageInput::Splits(splits) => {
                     let n = map_tasks.max(1).min(splits.len().max(1));
@@ -1338,13 +1339,7 @@ where
                             app,
                             splits,
                             next: &state.next,
-                            emitter: Some(ShuffleEmitter::new(
-                                app,
-                                cfg,
-                                partitioner,
-                                txs.clone(),
-                                &state.batch_pool,
-                            )),
+                            emitter: Some(emitter()),
                             totals: &state.totals,
                             dispatcher: &state.dispatcher,
                             tracing: state.tracing,
@@ -1361,13 +1356,7 @@ where
                             app,
                             rx: Some(rx),
                             idx: i,
-                            emitter: Some(ShuffleEmitter::new(
-                                app,
-                                cfg,
-                                partitioner,
-                                txs.clone(),
-                                &state.batch_pool,
-                            )),
+                            emitter: Some(emitter()),
                             totals: &state.totals,
                             dispatcher: &state.dispatcher,
                             tracing: state.tracing,
@@ -1629,20 +1618,22 @@ impl LocalRunner {
         partitioner: &P,
     ) -> MrResult<JobOutput<A>> {
         cfg.validate()?;
-        Ok(self
-            .run_sinked(app, splits, cfg, partitioner, None, |_| Vec::new())?
-            .into_job_output())
+        let jobs = std::slice::from_ref(&splits);
+        let (mut outs, _) = self.run_on_pool(app, jobs, cfg, partitioner, None)?;
+        outs.pop().expect("one job")
     }
 
     /// Runs `app` over `splits` through the shared content-addressed
     /// result cache: each split's partitioned map output is looked up by
-    /// a stable hash of its input bytes plus the app identity — type
-    /// *and* instance parameters, per
-    /// [`Application::cache_identity`](crate::traits::Application::cache_identity)
-    /// — and the output-shaping config knobs, and whole-job results are
-    /// memoized the same way. Warm runs replay cached artifacts through
-    /// the normal shuffle routing, so their output is byte-identical to
-    /// a cold run at any pool width — only the `cache.*` counters
+    /// a stable hash of its input bytes plus the app and partitioner
+    /// identities — type *and* instance parameters, per
+    /// [`Application::cache_identity`] and
+    /// [`Partitioner::cache_identity`] — and the output-shaping config
+    /// knobs, and whole-job results are memoized the same way (the
+    /// whole-job key is consulted first, before any split key is
+    /// hashed). Warm runs replay cached artifacts through the normal
+    /// shuffle routing, so their output is byte-identical to a cold
+    /// run at any pool width — only the `cache.*` counters
     /// differ.
     ///
     /// Three situations degrade gracefully instead of caching wrongly:
@@ -1650,9 +1641,9 @@ impl LocalRunner {
     /// * `cfg.cache` is [`CacheBudget::Disabled`] — the cache is
     ///   bypassed entirely, exactly like
     ///   [`LocalRunner::run_with_partitioner`].
-    /// * The app cannot vouch for a complete instance identity (a
-    ///   parameterized app without a `cache_identity` override) — same
-    ///   bypass, counted as `cache.bypass.count`.
+    /// * The app or the partitioner cannot vouch for a complete
+    ///   instance identity (parameterized, without a `cache_identity`
+    ///   override) — same bypass, counted as `cache.bypass.count`.
     /// * `cfg.snapshots` is enabled — split artifacts still cache, but
     ///   the *whole-job* artifact is skipped: a whole-job hit performs
     ///   no run and so cannot reproduce the snapshot stream (or the
@@ -1682,90 +1673,18 @@ impl LocalRunner {
         A::OutValue: Sync + SizeEstimate,
     {
         cfg.validate()?;
-        if !cfg.cache.is_enabled() {
-            return self.run_with_partitioner(app, splits, cfg, partitioner);
-        }
-        let partitioner_id = std::any::type_name::<P>();
-        let Some(plan) = SplitCachePlan::new(cache, app, cfg, partitioner_id, &splits) else {
-            // The app cannot vouch for its instance identity: caching
-            // under an incomplete key would let differently-configured
-            // instances serve each other's results. Run uncached and
-            // surface the bypass as a typed counter.
-            let mut out = self.run_with_partitioner(app, splits, cfg, partitioner)?;
-            let mut extra = Counters::new();
-            extra.incr(names::CACHE_BYPASS);
-            if cfg.trace.is_enabled() {
-                let mut rec = TraceRecorder::new(Scope::job(0), true);
-                record_counter_totals(&mut rec, &extra);
-                let dispatcher = TraceDispatcher::new(true);
-                rec.flush_into(&dispatcher);
-                out.trace.entries.extend(dispatcher.finish().entries);
-            }
-            for (name, delta) in extra.iter() {
-                out.counters.add(name.to_string(), delta);
-            }
-            return Ok(out);
-        };
-        // The whole-job artifact is only sound when a hit's fabricated
-        // output (sealed partitions, nothing else) matches what a cold
-        // run would publish — an enabled snapshot policy breaks that.
-        let job_key = if cfg.snapshots.is_enabled() {
-            None
-        } else {
-            cache::job_key(app, cfg, partitioner_id, &splits)
-        };
-        if let Some(key) = job_key {
-            if let Some((parts, bytes)) = cache.get_job::<A>(key) {
-                let mut counters = Counters::new();
-                counters.incr(names::CACHE_HITS);
-                counters.add(names::CACHE_HIT_BYTES, bytes);
-                let tracing = cfg.trace.is_enabled();
-                let trace = if tracing {
-                    let dispatcher = TraceDispatcher::new(true);
-                    let mut rec = TraceRecorder::new(Scope::job(0), true);
-                    record_counter_totals(&mut rec, &counters);
-                    rec.cache_mark_wall(0.0, 1, 0, bytes);
-                    rec.flush_into(&dispatcher);
-                    dispatcher.finish()
-                } else {
-                    TraceLog::default()
-                };
-                return Ok(JobOutput {
-                    partitions: (*parts).clone(),
-                    counters,
-                    reports: Vec::new(),
-                    snapshots: Vec::new(),
-                    trace,
-                });
-            }
-        }
-        let mut out = self
-            .run_sinked(app, splits, cfg, partitioner, Some(&plan), |_| Vec::new())?
-            .into_job_output();
+        let tracing = cfg.trace.is_enabled();
+        let job = JobCache::new(Some(cache), app, cfg, partitioner, &splits);
         let mut extra = Counters::new();
-        if let Some(key) = job_key {
-            let outcome = cache.put_job::<A>(key, out.partitions.clone());
-            extra.incr(names::CACHE_MISSES);
-            outcome.charge(&mut extra);
+        if let Some(hit) = job.lookup(&mut extra, Scope::job(0), 0.0, tracing) {
+            return Ok(hit);
         }
-        let (hits, misses) = (
-            out.counters.get(names::CACHE_HITS) + extra.get(names::CACHE_HITS),
-            out.counters.get(names::CACHE_MISSES) + extra.get(names::CACHE_MISSES),
-        );
-        for (name, delta) in extra.iter() {
-            out.counters.add(name.to_string(), delta);
-        }
-        if cfg.trace.is_enabled() {
-            // Keep `Counters::from_trace(&out.trace)` consistent with
-            // `out.counters`: the post-run cache charges land in the
-            // trace too, as one more job-scope batch.
-            let mut rec = TraceRecorder::new(Scope::job(0), true);
-            record_counter_totals(&mut rec, &extra);
-            rec.cache_mark_wall(0.0, hits, misses, cache.used_bytes());
-            let dispatcher = TraceDispatcher::new(true);
-            rec.flush_into(&dispatcher);
-            out.trace.entries.extend(dispatcher.finish().entries);
-        }
+        let plan = job.split_plan(app, cfg, partitioner, &splits);
+        let jobs = std::slice::from_ref(&splits);
+        let (mut outs, _) = self.run_on_pool(app, jobs, cfg, partitioner, plan.as_ref())?;
+        let mut out = outs.pop().expect("one job")?;
+        job.publish::<A>(&out.partitions, &mut extra);
+        job.append(&mut out, &extra, tracing);
         Ok(out)
     }
 
@@ -1791,12 +1710,33 @@ impl LocalRunner {
         P: Partitioner<A::MapKey> + Sync,
     {
         cfg.validate()?;
+        let (jobs, pool) = self.run_on_pool(app, &jobs, cfg, partitioner, None)?;
+        Ok(ManyJobsOutput { jobs, pool })
+    }
+
+    /// Runs every job of `jobs` on one fresh pool driven by
+    /// `cfg.pool_workers` threads — the one local job path: a single
+    /// job is a batch of one. `cache` is the per-split artifact plan of
+    /// a single cached job.
+    #[allow(clippy::type_complexity)]
+    fn run_on_pool<A, P>(
+        &self,
+        app: &A,
+        jobs: &[Vec<InputSplit<A>>],
+        cfg: &JobConfig,
+        partitioner: &P,
+        cache: Option<&SplitCachePlan<A>>,
+    ) -> MrResult<(Vec<MrResult<JobOutput<A>>>, PoolStats)>
+    where
+        A: Application,
+        P: Partitioner<A::MapKey> + Sync,
+    {
         let states: Vec<StageState<A, Vec<(A::OutKey, A::OutValue)>>> = jobs
             .iter()
             .map(|splits| StageState::new(cfg, splits.len()))
             .collect();
         let mut pool = Pool::new();
-        for (state, splits) in states.iter().zip(jobs.iter()) {
+        for (state, splits) in states.iter().zip(jobs) {
             build_stage(
                 &mut pool,
                 state,
@@ -1805,7 +1745,7 @@ impl LocalRunner {
                 partitioner,
                 StageInput::Splits(splits),
                 self.map_threads,
-                None,
+                cache,
                 |_| Vec::new(),
             )?;
         }
@@ -1814,171 +1754,11 @@ impl LocalRunner {
             .into_iter()
             .map(|state| collect_stage(state).map(SinkedRun::into_job_output))
             .collect();
-        Ok(ManyJobsOutput {
-            jobs: outs,
-            pool: PoolStats {
-                workers: report.workers,
-                peak_threads: report.peak_threads,
-            },
-        })
-    }
-
-    /// One job with caller-chosen reduce-output sinks: builds the stage
-    /// graph on a fresh pool and drives it with `cfg.pool_workers`
-    /// threads. The hook the chain driver builds on.
-    pub(crate) fn run_sinked<A, P, S, F>(
-        &self,
-        app: &A,
-        splits: Vec<Vec<(A::InKey, A::InValue)>>,
-        cfg: &JobConfig,
-        partitioner: &P,
-        cache: Option<&SplitCachePlan<A>>,
-        make_sink: F,
-    ) -> MrResult<SinkedRun<A, S>>
-    where
-        A: Application,
-        P: Partitioner<A::MapKey> + Sync,
-        S: ReduceSink<A>,
-        F: Fn(usize) -> S,
-    {
-        let state = StageState::new(cfg, splits.len());
-        let mut pool = Pool::new();
-        build_stage(
-            &mut pool,
-            &state,
-            app,
-            cfg,
-            partitioner,
-            StageInput::Splits(&splits),
-            self.map_threads,
-            cache,
-            make_sink,
-        )?;
-        pool.run(cfg.pool_workers)?;
-        collect_stage(state)
-    }
-
-    /// Runs `app` with DryadInc-style map-output memoization (§8 of the
-    /// paper): splits whose [`memo::Fingerprint`] is already cached skip
-    /// the map function entirely. Pass the same `cache` across runs of an
-    /// iterative job; clear it when the map function changes.
-    ///
-    /// The reduce side runs the configured engine as usual (the cached
-    /// map output feeds it all at once, so this path favours iterative
-    /// re-runs over first-run pipelining).
-    #[allow(clippy::type_complexity)]
-    pub fn run_memoized<A, P>(
-        &self,
-        app: &A,
-        splits: Vec<(memo::Fingerprint, Vec<(A::InKey, A::InValue)>)>,
-        cfg: &JobConfig,
-        partitioner: &P,
-        cache: &mut memo::MemoCache<A>,
-    ) -> MrResult<JobOutput<A>>
-    where
-        A: Application,
-        P: Partitioner<A::MapKey>,
-        A::MapKey: Sync,
-        A::MapValue: Sync,
-    {
-        cfg.validate()?;
-        let started = Instant::now();
-        let reducers = cfg.reducers;
-        let tracing = cfg.trace.is_enabled();
-        let dispatcher = TraceDispatcher::new(tracing);
-        let mut counters = Counters::new();
-        let mut partitions: Vec<Vec<(A::MapKey, A::MapValue)>> =
-            (0..reducers).map(|_| Vec::new()).collect();
-        for (fp, split) in &splits {
-            if let Some(cached) = cache.lookup(*fp, reducers) {
-                counters.incr(names::CACHE_HITS);
-                for (p, records) in cached.iter().enumerate() {
-                    partitions[p].extend(records.iter().cloned());
-                }
-                continue;
-            }
-            counters.incr(names::CACHE_MISSES);
-            let mut parts: Vec<Vec<(A::MapKey, A::MapValue)>> =
-                (0..reducers).map(|_| Vec::new()).collect();
-            {
-                let mut emit = FnEmit(|k: A::MapKey, v: A::MapValue| {
-                    counters.incr(names::MAP_OUTPUT_RECORDS);
-                    let p = partitioner.partition(&k, reducers);
-                    parts[p].push((k, v));
-                });
-                for (k, v) in split {
-                    app.map(k, v, &mut emit);
-                }
-            }
-            for (p, records) in parts.iter().enumerate() {
-                partitions[p].extend(records.iter().cloned());
-            }
-            cache.insert(*fp, reducers, parts);
-        }
-
-        let mut outputs = Vec::with_capacity(reducers);
-        let mut reports = Vec::new();
-        let mut snapshots: Vec<Vec<Snapshot<A>>> = Vec::with_capacity(reducers);
-        for (r, records) in partitions.into_iter().enumerate() {
-            let t0 = started.elapsed().as_secs_f64();
-            let span_kind = match &cfg.engine {
-                Engine::Barrier => SpanKind::SortReduce,
-                Engine::BarrierLess { .. } => SpanKind::ShuffleReduce,
-            };
-            match &cfg.engine {
-                Engine::Barrier => {
-                    let absorbed = records.len() as u64;
-                    let out = reduce_partition_barrier(app, records, &mut counters)?;
-                    snapshots.push(barrier_snapshot(
-                        cfg,
-                        r,
-                        absorbed,
-                        started.elapsed().as_secs_f64(),
-                        &out,
-                        &mut counters,
-                    ));
-                    outputs.push(out);
-                }
-                Engine::BarrierLess { .. } => {
-                    let (out, report, snaps) =
-                        reduce_partition_barrierless_traced(app, cfg, r, records, &mut counters)?;
-                    outputs.push(out);
-                    reports.push(report);
-                    snapshots.push(snaps);
-                }
-            }
-            if tracing {
-                let mut rec = TraceRecorder::new(
-                    Scope::task(0, TaskKind::Reduce, r as u32, 0, NO_NODE),
-                    true,
-                );
-                rec.span_wall(span_kind, t0, started.elapsed().as_secs_f64());
-                for s in snapshots.last().into_iter().flatten() {
-                    rec.snapshot_wall(s.at_secs, s.seq, s.records_absorbed, s.live_entries as u64);
-                }
-                rec.flush_into(&dispatcher);
-            }
-        }
-        // Single-threaded path: every counter (map and reduce alike) is
-        // already merged, so the whole total is one job-scope batch.
-        if tracing {
-            let mut rec = TraceRecorder::new(Scope::job(0), true);
-            record_counter_totals(&mut rec, &counters);
-            rec.flush_into(&dispatcher);
-        }
-        let trace = dispatcher.finish();
-        let counters = if tracing {
-            Counters::from_trace(&trace)
-        } else {
-            counters
+        let stats = PoolStats {
+            workers: report.workers,
+            peak_threads: report.peak_threads,
         };
-        Ok(JobOutput {
-            partitions: outputs,
-            counters,
-            reports,
-            snapshots,
-            trace,
-        })
+        Ok((outs, stats))
     }
 }
 

@@ -30,7 +30,7 @@
 //! deterministic map → partition → reduce the engines use, and jobs
 //! share nothing but the slot scheduler.
 
-use super::cache::{self, SharedCache};
+use super::cache::{JobCache, SharedCache, SplitCachePlan, SplitParts};
 use super::pool::{panic_message, Ctx, Pool, PoolTask, Step, Waker};
 use super::{barrier_snapshot, record_counter_totals, InputSplit, PoolStats};
 use crate::config::{Engine, JobConfig, ServiceConfig, TenantSpec};
@@ -44,7 +44,7 @@ use crate::partition::Partitioner;
 use crate::size::SizeEstimate;
 use crate::snapshot::Snapshot;
 use crate::traits::{Application, FnEmit};
-use mr_cache::{CacheKey, StableHash};
+use mr_cache::StableHash;
 use mr_trace::{Scope, SpanKind, TaskKind, TraceDispatcher, TraceRecorder, NO_NODE};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -352,15 +352,10 @@ struct Active<A: Application> {
     tracing: bool,
     dispatcher: TraceDispatcher,
     phase: Phase<A>,
-    /// Whether this job consults the shared cache at all: the service
-    /// has a cache, the job's own `cfg.cache` opts in, *and* the app
-    /// vouches for a complete instance identity.
-    cached: bool,
-    /// The job's sealed-artifact cache key — `Some` iff `cached` and
-    /// the job's snapshot policy is disabled (a whole-job hit performs
-    /// no run, so it cannot reproduce a cold run's snapshot stream;
-    /// such jobs use only the per-split artifacts).
-    cache_key: Option<CacheKey>,
+    /// How this job uses the service's shared cache.
+    cache: JobCache,
+    /// The per-split artifact plan, built after a whole-job miss.
+    plan: Option<SplitCachePlan<A>>,
 }
 
 /// One persistent slot of the service: grabs the fair pick's next job,
@@ -389,7 +384,6 @@ where
     /// slices left; `Ok(Some(out))` = job finished.
     fn slice(&mut self) -> MrResult<Option<JobOutput<A>>> {
         let active = self.cur.as_mut().expect("slice with an active job");
-        let shared_cache = self.shared.cache.as_ref();
         let job = &active.job;
         let tenant = job.tenant as u32;
         let reducers = job.cfg.reducers;
@@ -404,65 +398,19 @@ where
                 // Before any split runs, consult the sealed-job
                 // artifact: a whole-job hit skips map and reduce alike.
                 if *next_split == 0 {
-                    if shared_cache.is_some() && job.cfg.cache.is_enabled() && !active.cached {
-                        // The app's instance identity is incomplete:
-                        // the job wanted caching but runs uncached.
-                        counters.incr(names::CACHE_BYPASS);
+                    let scope = Scope::job(job.id as u32).with_tenant(tenant);
+                    let at = started.elapsed().as_secs_f64();
+                    let cache = &active.cache;
+                    if let Some(hit) = cache.lookup(counters, scope, at, active.tracing) {
+                        return Ok(Some(hit));
                     }
-                    if let (Some(key), Some(c)) = (active.cache_key, shared_cache) {
-                        if let Some((parts, bytes)) = c.get_job::<A>(key) {
-                            let mut hit = Counters::new();
-                            hit.incr(names::CACHE_HITS);
-                            hit.add(names::CACHE_HIT_BYTES, bytes);
-                            let trace = if active.tracing {
-                                let mut rec = TraceRecorder::new(
-                                    Scope::job(job.id as u32).with_tenant(tenant),
-                                    true,
-                                );
-                                record_counter_totals(&mut rec, &hit);
-                                rec.cache_mark_wall(started.elapsed().as_secs_f64(), 1, 0, bytes);
-                                rec.flush_into(&active.dispatcher);
-                                std::mem::replace(
-                                    &mut active.dispatcher,
-                                    TraceDispatcher::new(false),
-                                )
-                                .finish()
-                            } else {
-                                Default::default()
-                            };
-                            let counters = if active.tracing {
-                                Counters::from_trace(&trace)
-                            } else {
-                                hit
-                            };
-                            return Ok(Some(JobOutput {
-                                partitions: (*parts).clone(),
-                                counters,
-                                reports: Vec::new(),
-                                snapshots: Vec::new(),
-                                trace,
-                            }));
-                        }
-                        counters.incr(names::CACHE_MISSES);
-                    }
+                    active.plan = cache.split_plan(app, &job.cfg, self.partitioner, &job.splits);
                 }
                 if *next_split < job.splits.len() {
                     let idx = *next_split;
                     let t0 = started.elapsed().as_secs_f64();
-                    let split_key = if active.cached {
-                        cache::split_key(
-                            app,
-                            &job.cfg,
-                            std::any::type_name::<P>(),
-                            &job.splits[idx],
-                        )
-                    } else {
-                        None
-                    };
-                    let cached = split_key
-                        .zip(shared_cache)
-                        .and_then(|(k, c)| c.get_split::<A>(k));
-                    if let Some((parts, bytes)) = cached {
+                    let plan = active.plan.as_ref();
+                    if let Some((parts, bytes)) = plan.and_then(|p| p.lookup(idx)) {
                         // Split artifact hit: the map function is
                         // skipped and the cached raw records take the
                         // same partition route the emitter would have.
@@ -472,7 +420,7 @@ where
                             partitions[p].extend(records.iter().cloned());
                         }
                     } else {
-                        let mut raw: Option<cache::SplitParts<A>> = split_key.map(|_| {
+                        let mut raw: Option<SplitParts<A>> = plan.map(|_| {
                             counters.incr(names::CACHE_MISSES);
                             (0..reducers).map(|_| Vec::new()).collect()
                         });
@@ -490,8 +438,8 @@ where
                         }
                         // `emit`'s borrow of `raw` ends here (NLL), freeing it
                         // for publication.
-                        if let (Some(k), Some(c), Some(raw)) = (split_key, shared_cache, raw) {
-                            c.put_split::<A>(k, raw).charge(counters);
+                        if let (Some(plan), Some(raw)) = (plan, raw) {
+                            plan.insert(idx, raw).charge(counters);
                         }
                     }
                     if active.tracing {
@@ -529,10 +477,6 @@ where
                     let records = std::mem::take(&mut partitions[r]);
                     let t0 = started.elapsed().as_secs_f64();
                     let span_kind = match &job.cfg.engine {
-                        Engine::Barrier => SpanKind::SortReduce,
-                        Engine::BarrierLess { .. } => SpanKind::ShuffleReduce,
-                    };
-                    match &job.cfg.engine {
                         Engine::Barrier => {
                             let absorbed = records.len() as u64;
                             let out = reduce_partition_barrier(app, records, counters)?;
@@ -545,6 +489,7 @@ where
                                 counters,
                             ));
                             outputs.push(out);
+                            SpanKind::SortReduce
                         }
                         Engine::BarrierLess { .. } => {
                             let (out, report, snaps) = reduce_partition_barrierless_traced(
@@ -553,8 +498,9 @@ where
                             outputs.push(out);
                             reports.push(report);
                             snapshots.push(snaps);
+                            SpanKind::ShuffleReduce
                         }
-                    }
+                    };
                     if active.tracing {
                         let mut rec = TraceRecorder::new(
                             Scope::task(job.id as u32, TaskKind::Reduce, r as u32, 0, NO_NODE)
@@ -578,21 +524,14 @@ where
                 // Finalize: publish the sealed artifact (charged into
                 // the job's counters, so the totals below include it),
                 // then totals to the job scope, then the output.
-                if let (Some(key), Some(c)) = (active.cache_key, shared_cache) {
-                    c.put_job::<A>(key, outputs.clone()).charge(counters);
-                }
+                active.cache.publish::<A>(outputs, counters);
                 if active.tracing {
                     let mut rec =
                         TraceRecorder::new(Scope::job(job.id as u32).with_tenant(tenant), true);
                     record_counter_totals(&mut rec, counters);
-                    if let Some(c) = shared_cache.filter(|_| active.cached) {
-                        rec.cache_mark_wall(
-                            started.elapsed().as_secs_f64(),
-                            counters.get(names::CACHE_HITS),
-                            counters.get(names::CACHE_MISSES),
-                            c.used_bytes(),
-                        );
-                    }
+                    active
+                        .cache
+                        .mark(&mut rec, started.elapsed().as_secs_f64(), counters);
                     rec.flush_into(&active.dispatcher);
                 }
                 let trace =
@@ -650,39 +589,26 @@ where
                 Some(job) => {
                     drop(core);
                     let tracing = job.cfg.trace.is_enabled();
-                    let cached = self.shared.cache.is_some()
-                        && job.cfg.cache.is_enabled()
-                        && cache::identity_complete(self.app);
-                    // No job-level artifact for snapshot jobs: a
-                    // whole-job hit cannot replay the snapshot stream.
-                    let cache_key = if cached && !job.cfg.snapshots.is_enabled() {
-                        cache::job_key(
-                            self.app,
-                            &job.cfg,
-                            std::any::type_name::<P>(),
-                            &job.splits,
-                        )
-                    } else {
-                        None
-                    };
+                    let partitions = (0..job.cfg.reducers).map(|_| Vec::new()).collect();
+                    let cache = JobCache::new(
+                        self.shared.cache.as_ref(),
+                        self.app,
+                        &job.cfg,
+                        self.partitioner,
+                        &job.splits,
+                    );
                     self.cur = Some(Active {
                         job,
                         tracing,
                         dispatcher: TraceDispatcher::new(tracing),
                         phase: Phase::Map {
                             next_split: 0,
-                            partitions: Vec::new(),
+                            partitions,
                             counters: Counters::new(),
                         },
-                        cached,
-                        cache_key,
+                        cache,
+                        plan: None,
                     });
-                    // Partition buffers need the job's reducer count.
-                    let active = self.cur.as_mut().unwrap();
-                    let reducers = active.job.cfg.reducers;
-                    if let Phase::Map { partitions, .. } = &mut active.phase {
-                        *partitions = (0..reducers).map(|_| Vec::new()).collect();
-                    }
                     return Step::Yield;
                 }
                 None => {

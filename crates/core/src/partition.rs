@@ -1,11 +1,28 @@
 //! Partitioning map output across reducers.
 
+use crate::traits::IdentityWriter;
 use std::hash::{Hash, Hasher};
 
 /// Assigns intermediate keys to reduce partitions.
 pub trait Partitioner<K>: Send + Sync {
     /// Partition index for `key`, in `0..partitions`.
     fn partition(&self, key: &K, partitions: usize) -> usize;
+
+    /// Writes the instance parameters that shape routing into the shared
+    /// cache's key and returns whether that identity is complete — the
+    /// partitioner's half of
+    /// [`Application::cache_identity`](crate::traits::Application::cache_identity).
+    /// The default vouches only for zero-sized partitioners (nothing to
+    /// write); a partitioner carrying parameters must override it, or
+    /// its cached jobs bypass the cache (`cache.bypass.count`) instead
+    /// of sharing artifacts with differently-configured instances.
+    fn cache_identity(&self, w: &mut dyn IdentityWriter) -> bool
+    where
+        Self: Sized,
+    {
+        let _ = w;
+        std::mem::size_of::<Self>() == 0
+    }
 }
 
 /// Hadoop's default: `hash(key) mod partitions`.

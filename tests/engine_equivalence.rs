@@ -752,6 +752,98 @@ fn parameterized_instances_never_share_artifacts() {
     assert!(bar_warm.counters.get(names::CACHE_HITS) > 0);
 }
 
+/// Regression: the partitioner *instance* is part of the cache key. Two
+/// `RangePartitioner`s with different bounds, sharing one cache, route
+/// the same input differently; the second must not be served the
+/// first's sealed partitions or split artifacts.
+#[test]
+fn partitioner_instances_never_share_artifacts() {
+    use barrier_mapreduce::apps::sort::RangePartitioner;
+    use barrier_mapreduce::core::counters::names;
+    use barrier_mapreduce::core::{CacheBudget, SharedCache};
+    let splits: Vec<Vec<(u64, u64)>> = (0..4u64)
+        .map(|s| (0..16).map(|i| (i, (s * 16 + i) * 997 % 1000)).collect())
+        .collect();
+    let cfg = JobConfig::new(2).cache(CacheBudget::enabled());
+    let runner = LocalRunner::new(2);
+    let low = RangePartitioner { bounds: vec![100] };
+    let high = RangePartitioner { bounds: vec![900] };
+    let low_base = runner
+        .run_with_partitioner(&Sort, splits.clone(), &cfg, &low)
+        .unwrap();
+    let high_base = runner
+        .run_with_partitioner(&Sort, splits.clone(), &cfg, &high)
+        .unwrap();
+    assert_ne!(
+        low_base.partitions, high_base.partitions,
+        "bounds must route differently for this test to bite"
+    );
+    let cache = SharedCache::new(16 << 20);
+    let low_cold = runner
+        .run_cached(&Sort, splits.clone(), &cfg, &low, &cache)
+        .unwrap();
+    let high_cold = runner
+        .run_cached(&Sort, splits.clone(), &cfg, &high, &cache)
+        .unwrap();
+    assert_eq!(low_cold.partitions, low_base.partitions);
+    assert_eq!(high_cold.partitions, high_base.partitions);
+    assert_eq!(
+        high_cold.counters.get(names::CACHE_HITS),
+        0,
+        "the second partitioner must not hit the first's artifacts"
+    );
+    let high_warm = runner
+        .run_cached(&Sort, splits, &cfg, &high, &cache)
+        .unwrap();
+    assert_eq!(high_warm.partitions, high_base.partitions);
+    assert!(high_warm.counters.get(names::CACHE_HITS) > 0);
+}
+
+/// A parameterized partitioner *without* a `cache_identity` override
+/// cannot be keyed safely: cached entry points run it correctly but
+/// bypass the cache, surfacing the bypass as `cache.bypass.count`.
+#[test]
+fn unkeyed_parameterized_partitioners_bypass_the_cache() {
+    use barrier_mapreduce::core::counters::names;
+    use barrier_mapreduce::core::{serve, CacheBudget, Partitioner, ServiceConfig, SharedCache};
+    /// Routes by `len % modulus` — a parameter, but no identity override.
+    struct ByLength {
+        modulus: usize,
+    }
+    impl Partitioner<String> for ByLength {
+        fn partition(&self, key: &String, partitions: usize) -> usize {
+            key.len() % self.modulus % partitions
+        }
+    }
+    let splits: Vec<Vec<(u64, String)>> = vec![
+        vec![(0, "a bb ccc dddd".into())],
+        vec![(1, "bb ccc eeeee".into())],
+    ];
+    let cfg = JobConfig::new(3).cache(CacheBudget::enabled());
+    let p = ByLength { modulus: 3 };
+    let runner = LocalRunner::new(2);
+    let base = runner
+        .run_with_partitioner(&WordCount, splits.clone(), &cfg, &p)
+        .unwrap();
+    let cache = SharedCache::new(16 << 20);
+    for _ in 0..2 {
+        let out = runner
+            .run_cached(&WordCount, splits.clone(), &cfg, &p, &cache)
+            .unwrap();
+        assert_eq!(out.partitions, base.partitions);
+        assert_eq!(out.counters.get(names::CACHE_BYPASS), 1);
+        assert_eq!(out.counters.get(names::CACHE_HITS), 0);
+    }
+    assert!(cache.is_empty(), "a bypassed job must publish nothing");
+    let svc_cfg = ServiceConfig::new(1).cache(CacheBudget::enabled());
+    let (out, _) = serve(&WordCount, &p, &svc_cfg, |svc| {
+        svc.submit(0, splits.clone(), &cfg).unwrap().wait().unwrap()
+    })
+    .unwrap();
+    assert_eq!(out.partitions, base.partitions);
+    assert_eq!(out.counters.get(names::CACHE_BYPASS), 1);
+}
+
 /// A parameterized app *without* a `cache_identity` override cannot be
 /// keyed safely: cached entry points run it correctly but bypass the
 /// cache, surfacing the bypass as `cache.bypass.count`.
@@ -830,7 +922,10 @@ fn unkeyed_parameterized_apps_bypass_the_cache() {
         assert_eq!(out.counters.get(names::CACHE_HITS), 0);
         assert_eq!(out.counters.get(names::CACHE_MISSES), 0);
     }
-    assert!(cache.is_empty(), "nothing may be published under an incomplete key");
+    assert!(
+        cache.is_empty(),
+        "nothing may be published under an incomplete key"
+    );
 }
 
 /// Review regression: a job with an enabled snapshot policy must keep
